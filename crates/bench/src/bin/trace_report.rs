@@ -144,6 +144,7 @@ fn run_scenario(obs: &Obs, manual: bool) {
         stats.time_phase1 = std::time::Duration::ZERO;
         stats.time_phase2 = std::time::Duration::ZERO;
         stats.time_dual = std::time::Duration::ZERO;
+        stats.time_factor = std::time::Duration::ZERO;
         stats.time_total = std::time::Duration::ZERO;
     }
     record_solver_stats(obs.registry(), &stats);

@@ -367,9 +367,6 @@ pub fn solve_exact_colgen(
     cfg: &PlannerConfig,
     opts: &SolveOptions,
 ) -> Option<ColGenPlan> {
-    let trace = std::env::var_os("FLEXWAN_CG_TRACE").is_some();
-    macro_rules! ck { ($($a:tt)*) => { if trace { eprintln!($($a)*); } } }
-    ck!("cg: start");
     let pixels = cfg.grid.pixels();
     let none = HashSet::new();
     let paths_per_link: Vec<Vec<Path>> = ip
@@ -454,7 +451,6 @@ pub fn solve_exact_colgen(
         obj_terms: Vec::new(),
     };
     let universe_size = master.lazy.universe_size();
-    ck!("cg: master built, universe {universe_size}");
 
     // Seed phase. Three passes build an integer-feasible restricted
     // master so the very first RMP LP is feasible:
@@ -539,7 +535,6 @@ pub fn solve_exact_colgen(
         covered[slot] += u64::from(w.format.data_rate_gbps);
         columns_seeded += 1;
     }
-    ck!("cg: pass 1 matched {columns_seeded} heuristic columns");
 
     // Pass 2: greedy first-fit repair of under-covered links.
     let mut seed_feasible = true;
@@ -584,7 +579,6 @@ pub fn solve_exact_colgen(
             break 'slots;
         }
     }
-    ck!("cg: pass 2 done, {columns_seeded} columns, feasible {seed_feasible}");
 
     // Pass 3: matched protection wavelengths (optional extras). Only
     // those conflict-free against every column already admitted enter —
@@ -616,10 +610,6 @@ pub fn solve_exact_colgen(
         columns_seeded += 1;
     }
     master.set_objective();
-    ck!(
-        "cg: seeded {columns_seeded} columns, {} conflict rows",
-        master.cell_row.len()
-    );
 
     let fallback = |stats_base: ColGenStats| -> Option<ColGenPlan> {
         let plan = solve_exact(scheme, optical, ip, cfg, opts)?;
@@ -666,15 +656,7 @@ pub fn solve_exact_colgen(
     let (ip_sol, z_lp) = 'outer: loop {
         // Price to LP optimality.
         let (z_lp, lp_duals) = loop {
-            ck!("cg: lp solve over {} cols...", master.lazy.num_admitted());
-            let t_lp = std::time::Instant::now();
             let (sol, duals, st) = master.inc.solve_relaxation_with_duals();
-            ck!(
-                "cg: lp took {:?} (cold {} warm {})",
-                t_lp.elapsed(),
-                st.cold_solves,
-                st.warm_solves
-            );
             agg.merge(&st);
             if sol.status != Status::Optimal {
                 // Seed left the restricted master infeasible.
@@ -684,24 +666,12 @@ pub fn solve_exact_colgen(
             // re-solve: pricing duals must reflect the rows that bind.
             let cuts = master.separate(&sol, 1e-9);
             if cuts > 0 {
-                ck!("cg: lp separation cut {cuts} conflict rows");
                 continue;
             }
             let duals = duals.expect("optimal relaxation yields duals");
             pricing_rounds += 1;
-            let t_scan = std::time::Instant::now();
             let mut scan = master.price_round(&duals, -TOL, PRICE_CAP);
             truncate_global(&mut scan.candidates, GLOBAL_CAP);
-            ck!("cg: scan took {:?}", t_scan.elapsed());
-            if trace {
-                eprintln!(
-                    "cg round {pricing_rounds}: lp {:.4}, {} candidates (min red {:.4}), {} cols",
-                    sol.objective,
-                    scan.candidates.len(),
-                    scan.reduced_min,
-                    master.lazy.num_admitted(),
-                );
-            }
             reduced_cost_min = reduced_cost_min.min(scan.reduced_min);
             rounds.push(PricingRound {
                 lp_objective: sol.objective,
@@ -733,7 +703,6 @@ pub fn solve_exact_colgen(
         // rows stayed latent — separate and re-solve until clean, so the
         // incumbent is a genuine wavelength assignment.
         let sol = loop {
-            ck!("cg: mip solve over {} cols...", master.lazy.num_admitted());
             let (sol, st) = master.inc.solve(opts);
             agg.merge(&st);
             match sol.status {
@@ -745,7 +714,6 @@ pub fn solve_exact_colgen(
             if cuts == 0 {
                 break sol;
             }
-            ck!("cg: mip separation cut {cuts} conflict rows");
         };
 
         // A stalled LP never certified `z_lp` as the full-model bound —

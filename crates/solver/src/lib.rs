@@ -44,7 +44,8 @@ pub mod simplex;
 pub use expr::{LinExpr, Var};
 pub use incremental::{IncrementalSolver, NewColumn};
 pub use model::{
-    Cmp, GroupId, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
+    Cmp, GroupId, Model, RefactorCause, RowId, Sense, Solution, SolveOptions, SolverStats, Status,
+    VarKind,
 };
 pub use observe::record_solver_stats;
 pub use presolve::{presolve, solve_presolved, Presolved, Reduction};

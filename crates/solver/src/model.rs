@@ -138,6 +138,41 @@ impl Solution {
     }
 }
 
+/// Why the simplex rebuilt its LU factorization; indexes
+/// [`SolverStats::refactor_causes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefactorCause {
+    /// A cold solve factors its crashed all-logical starting basis.
+    ColdStart = 0,
+    /// A warm solve installs an inherited basis snapshot.
+    WarmInstall = 1,
+    /// The eta file reached its length cap.
+    EtaCap = 2,
+    /// The dual simplex met a near-zero pivot element and refactors to
+    /// shed the eta file's round-off before retrying.
+    DualTinyPivot = 3,
+}
+
+impl RefactorCause {
+    /// Every cause, in index order.
+    pub const ALL: [RefactorCause; 4] = [
+        RefactorCause::ColdStart,
+        RefactorCause::WarmInstall,
+        RefactorCause::EtaCap,
+        RefactorCause::DualTinyPivot,
+    ];
+
+    /// Metric label of the cause.
+    pub fn label(self) -> &'static str {
+        match self {
+            RefactorCause::ColdStart => "cold_start",
+            RefactorCause::WarmInstall => "warm_install",
+            RefactorCause::EtaCap => "eta_cap",
+            RefactorCause::DualTinyPivot => "dual_tiny_pivot",
+        }
+    }
+}
+
 /// Counters and phase timings collected by the simplex / branch & bound
 /// machinery during one solve. Returned by [`Model::solve_with_stats`] and
 /// surfaced through the bench harness (`solver_stats` binary) so warm-start
@@ -160,6 +195,9 @@ pub struct SolverStats {
     /// Basis refactorizations (LU from scratch; between two of these the
     /// basis inverse is maintained as an eta file).
     pub refactorizations: u64,
+    /// `refactorizations` split by [`RefactorCause`] (index with
+    /// `cause as usize`); the entries sum to `refactorizations`.
+    pub refactor_causes: [u64; 4],
     /// LP solves started from scratch (two-phase primal).
     pub cold_solves: u64,
     /// LP solves warm-started from an inherited basis (dual simplex).
@@ -185,6 +223,10 @@ pub struct SolverStats {
     pub time_phase2: Duration,
     /// Wall time inside the dual simplex (warm starts).
     pub time_dual: Duration,
+    /// Wall time inside LU factorization. Not a phase of its own: it is
+    /// part of the phase timers above (and of the rest of `time_total`),
+    /// so it must not be added to them.
+    pub time_factor: Duration,
     /// Wall time of the whole solve.
     pub time_total: Duration,
 }
@@ -214,6 +256,9 @@ impl SolverStats {
         self.dual_pivots += other.dual_pivots;
         self.bound_flips += other.bound_flips;
         self.refactorizations += other.refactorizations;
+        for (mine, theirs) in self.refactor_causes.iter_mut().zip(other.refactor_causes) {
+            *mine += theirs;
+        }
         self.cold_solves += other.cold_solves;
         self.warm_solves += other.warm_solves;
         self.nodes += other.nodes;
@@ -223,6 +268,7 @@ impl SolverStats {
         self.time_phase1 += other.time_phase1;
         self.time_phase2 += other.time_phase2;
         self.time_dual += other.time_dual;
+        self.time_factor += other.time_factor;
         self.time_total += other.time_total;
     }
 }
@@ -247,6 +293,11 @@ impl std::fmt::Display for SolverStats {
             self.bound_flips,
             self.refactorizations
         )?;
+        let [cold, warm, eta, tiny] = self.refactor_causes;
+        writeln!(
+            f,
+            "refactor causes: cold start {cold:>6}  warm install {warm:>6}  eta cap {eta:>6}  dual tiny pivot {tiny:>4}"
+        )?;
         if self.pricing_rounds > 0 || self.columns_admitted > 0 {
             writeln!(
                 f,
@@ -256,8 +307,8 @@ impl std::fmt::Display for SolverStats {
         }
         write!(
             f,
-            "time:   phase1 {:>8.2?}  phase2 {:>8.2?}  dual {:>8.2?}  total {:>8.2?}",
-            self.time_phase1, self.time_phase2, self.time_dual, self.time_total
+            "time:   phase1 {:>8.2?}  phase2 {:>8.2?}  dual {:>8.2?}  total {:>8.2?}  (factor {:>8.2?})",
+            self.time_phase1, self.time_phase2, self.time_dual, self.time_total, self.time_factor
         )
     }
 }

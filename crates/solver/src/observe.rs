@@ -10,13 +10,15 @@ use std::time::Duration;
 
 use flexwan_obs::{Registry, LATENCY_SECONDS_BUCKETS};
 
-use crate::model::SolverStats;
+use crate::model::{RefactorCause, SolverStats};
 
 /// Records one solve's [`SolverStats`] into `registry`.
 ///
 /// Pivot counters are labeled by simplex phase, solve counters by start
-/// kind (`warm`/`cold`); phase wall times land in per-phase latency
-/// histograms and the warm-start hit rate of the *most recent* solve is
+/// kind (`warm`/`cold`), refactorizations additionally by
+/// [`RefactorCause`]; phase wall times land in per-phase latency
+/// histograms (`factor`, the time inside LU factorization, overlaps the
+/// others) and the warm-start hit rate of the *most recent* solve is
 /// published as a gauge.
 pub fn record_solver_stats(registry: &Registry, stats: &SolverStats) {
     registry
@@ -34,6 +36,14 @@ pub fn record_solver_stats(registry: &Registry, stats: &SolverStats) {
     registry
         .counter("solver_refactorizations_total")
         .add(stats.refactorizations);
+    for cause in RefactorCause::ALL {
+        registry
+            .counter_with(
+                "solver_refactorizations_by_cause_total",
+                &[("cause", cause.label())],
+            )
+            .add(stats.refactor_causes[cause as usize]);
+    }
     registry
         .counter_with("solver_solves_total", &[("start", "cold")])
         .add(stats.cold_solves);
@@ -54,6 +64,8 @@ pub fn record_solver_stats(registry: &Registry, stats: &SolverStats) {
     observe_phase(registry, "phase1", stats.time_phase1);
     observe_phase(registry, "phase2", stats.time_phase2);
     observe_phase(registry, "dual", stats.time_dual);
+    // Part of the phases above, not one of its own.
+    observe_phase(registry, "factor", stats.time_factor);
     observe_phase(registry, "total", stats.time_total);
 }
 
@@ -80,6 +92,7 @@ mod tests {
             dual_pivots: 7,
             bound_flips: 2,
             refactorizations: 1,
+            refactor_causes: [1, 0, 0, 0],
             cold_solves: 1,
             warm_solves: 3,
             nodes: 9,
@@ -89,6 +102,7 @@ mod tests {
             time_phase1: Duration::from_micros(10),
             time_phase2: Duration::from_micros(20),
             time_dual: Duration::from_micros(30),
+            time_factor: Duration::from_micros(5),
             time_total: Duration::from_micros(70),
         };
         record_solver_stats(&reg, &stats);
@@ -102,6 +116,15 @@ mod tests {
             "{prom}"
         );
         assert!(prom.contains("solver_nodes_total 9"), "{prom}");
+        assert!(prom.contains("solver_refactorizations_total 1"), "{prom}");
+        assert!(
+            prom.contains("solver_refactorizations_by_cause_total{cause=\"cold_start\"} 1"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("solver_phase_seconds_count{phase=\"factor\"} 1"),
+            "{prom}"
+        );
         assert!(prom.contains("solver_warm_start_hit_rate 0.75"), "{prom}");
         // A second solve accumulates counters, overwrites the rate gauge.
         record_solver_stats(&reg, &stats);

@@ -1,14 +1,20 @@
 //! Sparse revised simplex with native bounded variables.
 //!
 //! The constraint matrix is held column-wise as sparse `(row, coeff)`
-//! lists; the basis inverse is represented as a dense LU factorization
-//! (partial pivoting) composed with an *eta file* (product-form update),
-//! refactorized every `MAX_ETAS` pivots. Pivots therefore cost
-//! `O(m² + nnz)` instead of the dense tableau's `O(m·cols)` full-matrix
-//! sweep, and — crucially for branch & bound — a solved basis can be
-//! snapshotted (`BasisState`) and re-installed in a child node, where a
-//! **dual simplex** pass repairs the handful of bound violations the
-//! branching introduced instead of re-solving from scratch.
+//! lists; the basis inverse is represented as a sparse LU factorization
+//! (partial pivoting, `L` and `U` as per-column nonzero lists) composed
+//! with an *eta file* (product-form update), refactorized every
+//! `MAX_ETAS` pivots. A triangular solve costs `O(m + nnz(L + U))`, so a
+//! pivot costs that plus the eta file and a pricing pass instead of the
+//! dense tableau's `O(m·cols)` full-matrix sweep. The factorization picks
+//! the same pivots and performs the same floating-point operations on
+//! nonzeros, in the same order, as dense Gaussian elimination with row
+//! interchanges (see `Lu`), so every basis, dual and objective is
+//! bit-identical to a dense LU's. And — crucially for branch & bound — a
+//! solved basis can be snapshotted (`BasisState`) and re-installed in a
+//! child node, where a **dual simplex** pass repairs the handful of bound
+//! violations the branching introduced instead of re-solving from
+//! scratch.
 //!
 //! Variables keep their native `[lo, up]` bounds (the *bounded-variable*
 //! technique: nonbasic columns rest at either bound, entering steps may
@@ -20,7 +26,7 @@
 //! iteration budget guarantees termination on degenerate problems; a hard
 //! iteration cap degrades to [`Status::Error`] instead of panicking.
 
-use crate::model::{Cmp, Model, Sense, Solution, SolverStats, Status};
+use crate::model::{Cmp, Model, RefactorCause, Sense, Solution, SolverStats, Status};
 use crate::VarKind;
 use std::sync::Arc;
 use std::time::Instant;
@@ -345,106 +351,254 @@ impl Instance {
     }
 }
 
-/// Dense LU factorization of the basis matrix with partial pivoting:
-/// `P·B = L·U` with unit-diagonal `L` stored below the diagonal of `lu`
-/// and `U` on/above it; `piv[k]` records the row swapped with `k`.
+/// Compressed sparse columns: column `k` holds `idx[start[k]..start[k+1]]`
+/// with the matching `val`s.
+struct SparseCols {
+    start: Vec<u32>,
+    idx: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl SparseCols {
+    fn new() -> SparseCols {
+        SparseCols {
+            start: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+
+    fn col(&self, k: usize) -> (&[u32], &[f64]) {
+        let span = self.start[k] as usize..self.start[k + 1] as usize;
+        (&self.idx[span.clone()], &self.val[span])
+    }
+
+    fn close_col(&mut self) {
+        self.start.push(self.idx.len() as u32);
+    }
+}
+
+/// Sparse LU factorization of the basis matrix with partial pivoting:
+/// `P·B = L·U`. `L` (unit diagonal, entries below it) and `U` (entries
+/// above the diagonal) are per-column nonzero lists in ascending row
+/// position, `U`'s diagonal is `diag`, and `piv[k]` records the row
+/// position swapped with `k` at step `k`.
+///
+/// The factors are bit-for-bit those of dense Gaussian elimination with
+/// row interchanges: step `k` picks the largest `|a_ik|` over the rows at
+/// positions `≥ k` (ties to the lowest position) and every entry receives
+/// the same `a_ij −= l_ik·u_kj` updates in ascending `k`, performed here
+/// only where both factors are nonzero — the zero products dense
+/// elimination also applies leave an entry unchanged (the dense array
+/// never holds a −0). The solves replay the one visible effect of those
+/// zero products, on signed zeros, so `ftran`/`btran` also match the
+/// dense solves bit for bit (barring a product of nonzeros that
+/// underflows to zero).
 struct Lu {
-    m: usize,
-    lu: Vec<f64>,
     piv: Vec<u32>,
+    diag: Vec<f64>,
+    l: SparseCols,
+    u: SparseCols,
 }
 
 impl Lu {
     /// Factorizes the matrix whose `k`-th column is the sparse column
     /// `cols[basis[k]]`. `None` when (numerically) singular.
-    fn factor(inst: &Instance, basis: &[u32]) -> Option<Lu> {
-        let m = inst.m;
-        let mut a = vec![0.0; m * m];
-        for (k, &b) in basis.iter().enumerate() {
-            for &(i, v) in &inst.cols[b as usize] {
-                a[i as usize * m + k] = v;
-            }
-        }
+    ///
+    /// Left-looking: column `k` is scattered, then the eliminations of
+    /// the earlier steps whose pivot row it touches are applied in
+    /// ascending step order, which is the order the dense right-looking
+    /// sweep updates each entry in.
+    fn factor(cols: &[Vec<(u32, f64)>], basis: &[u32]) -> Option<Lu> {
+        let m = basis.len();
+        // Where the dense row interchanges have moved each row so far.
+        // Before step `k`, positions `< k` hold the pivot rows of those
+        // steps (final) and positions `≥ k` the rows not pivoted yet.
+        let mut row_at: Vec<u32> = (0..m as u32).collect();
+        let mut pos_of = row_at.clone();
+        // Column `k` scattered by row, and the rows it has touched.
+        let mut x = vec![0.0; m];
+        let mut touched = vec![false; m];
+        let mut pattern: Vec<u32> = Vec::new();
+        // Bit `s` set: the pivot row of step `s` is in the pattern and its
+        // elimination is still to be applied.
+        let mut due = vec![0u64; m.div_ceil(64)];
         let mut piv = vec![0u32; m];
-        for k in 0..m {
-            let mut p = k;
-            let mut best = a[k * m + k].abs();
-            for i in k + 1..m {
-                let v = a[i * m + k].abs();
-                if v > best {
-                    best = v;
+        let mut diag = vec![0.0; m];
+        // `l` holds row ids until every row's final position is known.
+        let mut l = SparseCols::new();
+        let mut u = SparseCols::new();
+        for (k, &b) in basis.iter().enumerate() {
+            for &(i, v) in &cols[b as usize] {
+                let i = i as usize;
+                x[i] = v;
+                touched[i] = true;
+                pattern.push(i as u32);
+                mark_due(&mut due, pos_of[i], k);
+            }
+            // Fill-in only ever makes later steps due, so one ascending
+            // sweep over the bit set visits every due step in order.
+            let mut word = 0;
+            while word < due.len() {
+                if due[word] == 0 {
+                    word += 1;
+                    continue;
+                }
+                let bit = due[word].trailing_zeros();
+                due[word] &= !(1u64 << bit);
+                let s = word * 64 + bit as usize;
+                let t = x[row_at[s] as usize];
+                if t == 0.0 {
+                    continue;
+                }
+                u.idx.push(s as u32);
+                u.val.push(t);
+                let (rows, ls) = l.col(s);
+                for (&i, &li) in rows.iter().zip(ls) {
+                    let i = i as usize;
+                    if !touched[i] {
+                        touched[i] = true;
+                        pattern.push(i as u32);
+                        mark_due(&mut due, pos_of[i], k);
+                    }
+                    x[i] -= li * t;
+                }
+            }
+            u.close_col();
+
+            let mut p = usize::MAX;
+            let mut best = 0.0;
+            for &i in &pattern {
+                let i = i as usize;
+                if (pos_of[i] as usize) < k {
+                    continue;
+                }
+                let a = x[i].abs();
+                if a > best || (a == best && best > 0.0 && pos_of[i] < pos_of[p]) {
+                    best = a;
                     p = i;
                 }
             }
             if best < 1e-10 {
                 return None;
             }
-            piv[k] = p as u32;
-            if p != k {
-                for j in 0..m {
-                    a.swap(k * m + j, p * m + j);
-                }
-            }
-            let d = a[k * m + k];
-            for i in k + 1..m {
-                let l = a[i * m + k] / d;
-                if l != 0.0 {
-                    a[i * m + k] = l;
-                    for j in k + 1..m {
-                        a[i * m + j] -= l * a[k * m + j];
+            let pk = pos_of[p];
+            piv[k] = pk;
+            let rk = row_at[k] as usize;
+            row_at.swap(k, pk as usize);
+            pos_of[rk] = pk;
+            pos_of[p] = k as u32;
+            let d = x[p];
+            diag[k] = d;
+            for &i in &pattern {
+                let i = i as usize;
+                if pos_of[i] as usize > k {
+                    let li = x[i] / d;
+                    if li != 0.0 {
+                        l.idx.push(i as u32);
+                        l.val.push(li);
                     }
-                } else {
-                    a[i * m + k] = 0.0;
                 }
+                x[i] = 0.0;
+                touched[i] = false;
+            }
+            pattern.clear();
+            l.close_col();
+        }
+        // Row ids → final positions, ascending within each column.
+        let mut entries: Vec<(u32, f64)> = Vec::new();
+        for k in 0..m {
+            let span = l.start[k] as usize..l.start[k + 1] as usize;
+            entries.clear();
+            entries.extend(
+                l.idx[span.clone()]
+                    .iter()
+                    .zip(&l.val[span.clone()])
+                    .map(|(&i, &v)| (pos_of[i as usize], v)),
+            );
+            entries.sort_unstable_by_key(|&(pos, _)| pos);
+            for (e, &(pos, v)) in span.zip(&entries) {
+                l.idx[e] = pos;
+                l.val[e] = v;
             }
         }
-        Some(Lu { m, lu: a, piv })
+        Some(Lu { piv, diag, l, u })
     }
 
     /// Solves `B·x = v` in place.
     fn ftran(&self, v: &mut [f64]) {
-        let m = self.m;
-        for k in 0..m {
-            let p = self.piv[k] as usize;
-            if p != k {
-                v.swap(k, p);
+        let m = self.diag.len();
+        for (k, &p) in self.piv.iter().enumerate() {
+            if p as usize != k {
+                v.swap(k, p as usize);
             }
         }
+        // Dense elimination also subtracts `0·t` from every entry below a
+        // zero of `L`; once some `t < 0` has gone by, that turns a −0
+        // still waiting in `v` into +0. `neg` replays it.
+        let mut neg = false;
         for k in 0..m {
             let t = v[k];
-            if t != 0.0 {
-                for (i, vi) in v.iter_mut().enumerate().skip(k + 1) {
-                    *vi -= self.lu[i * m + k] * t;
+            if t == 0.0 {
+                if neg {
+                    v[k] = 0.0;
                 }
+                continue;
             }
+            let (rows, ls) = self.l.col(k);
+            for (&i, &l) in rows.iter().zip(ls) {
+                v[i as usize] -= l * t;
+            }
+            neg |= t < 0.0;
         }
+        // The same above the zeros of `U`.
+        let mut neg = false;
         for k in (0..m).rev() {
-            let t = v[k] / self.lu[k * m + k];
+            let x = if v[k] == 0.0 && neg { 0.0 } else { v[k] };
+            let t = x / self.diag[k];
             v[k] = t;
             if t != 0.0 {
-                for (i, vi) in v.iter_mut().enumerate().take(k) {
-                    *vi -= self.lu[i * m + k] * t;
+                let (rows, us) = self.u.col(k);
+                for (&i, &u) in rows.iter().zip(us) {
+                    v[i as usize] -= u * t;
                 }
+                neg |= t < 0.0;
             }
         }
     }
 
     /// Solves `Bᵀ·y = v` in place.
     fn btran(&self, v: &mut [f64]) {
-        let m = self.m;
+        let m = self.diag.len();
+        // Dense accumulation also subtracts `0·v[i]` for every zero of the
+        // column; one with `v[i]` sign-negative turns a −0 sum into +0.
+        // `negs` counts the sign-negative entries already solved.
+        let mut negs = 0usize;
         for k in 0..m {
+            let (rows, us) = self.u.col(k);
             let mut t = v[k];
-            for (i, &vi) in v.iter().enumerate().take(k) {
-                t -= self.lu[i * m + k] * vi;
+            for (&i, &u) in rows.iter().zip(us) {
+                t -= u * v[i as usize];
             }
-            v[k] = t / self.lu[k * m + k];
+            if t == 0.0 && t.is_sign_negative() && negs > count_sign_negative(rows, v) {
+                t = 0.0;
+            }
+            let t = t / self.diag[k];
+            v[k] = t;
+            negs += usize::from(t.is_sign_negative());
         }
+        let mut negs = 0usize;
         for k in (0..m).rev() {
+            let (rows, ls) = self.l.col(k);
             let mut t = v[k];
-            for (i, &vi) in v.iter().enumerate().skip(k + 1) {
-                t -= self.lu[i * m + k] * vi;
+            for (&i, &l) in rows.iter().zip(ls) {
+                t -= l * v[i as usize];
+            }
+            if t == 0.0 && t.is_sign_negative() && negs > count_sign_negative(rows, v) {
+                t = 0.0;
             }
             v[k] = t;
+            negs += usize::from(t.is_sign_negative());
         }
         for k in (0..m).rev() {
             let p = self.piv[k] as usize;
@@ -454,6 +608,25 @@ impl Lu {
         }
     }
 }
+
+/// Before step `k`, marks the step of a pivoted row at position `pos`
+/// due in the bit set (no-op for a row not pivoted yet).
+fn mark_due(due: &mut [u64], pos: u32, k: usize) {
+    if (pos as usize) < k {
+        due[pos as usize / 64] |= 1u64 << (pos % 64);
+    }
+}
+
+/// Entries of `v` at `rows` whose sign bit is set (−0 included).
+fn count_sign_negative(rows: &[u32], v: &[f64]) -> usize {
+    rows.iter()
+        .filter(|&&i| v[i as usize].is_sign_negative())
+        .count()
+}
+
+#[cfg(test)]
+#[path = "lu_oracle.rs"]
+mod lu_oracle;
 
 /// One product-form update: basis column `r` was replaced by a column
 /// whose FTRAN'd image was `w` (`wr = w[r]`, `rest` the other nonzeros).
@@ -507,6 +680,8 @@ pub(crate) struct Ctx {
     xb: Vec<f64>,
     scratch: Vec<f64>,
     ybuf: Vec<f64>,
+    /// Row of `B⁻¹` the dual simplex prices against.
+    rho: Vec<f64>,
     pub(crate) stats: SolverStats,
     /// Dantzig-iteration budget multiplier before switching to Bland's
     /// rule (test hook; production value 50).
@@ -530,6 +705,7 @@ impl Ctx {
             xb: vec![0.0; m],
             scratch: vec![0.0; m],
             ybuf: vec![0.0; m],
+            rho: vec![0.0; m],
             stats: SolverStats::default(),
             dantzig_factor: 50,
             iter_cap_override: None,
@@ -632,19 +808,14 @@ impl Ctx {
 
     /// Rebuilds the LU from the current basis and clears the eta file.
     /// `false` when the basis matrix is singular.
-    fn refactor(&mut self) -> bool {
+    fn refactor(&mut self, cause: RefactorCause) -> bool {
         self.stats.refactorizations += 1;
+        self.stats.refactor_causes[cause as usize] += 1;
         self.etas.clear();
-        match Lu::factor(&self.inst, &self.basis) {
-            Some(lu) => {
-                self.lu = Some(lu);
-                true
-            }
-            None => {
-                self.lu = None;
-                false
-            }
-        }
+        let t0 = Instant::now();
+        self.lu = Lu::factor(&self.inst.cols, &self.basis);
+        self.stats.time_factor += t0.elapsed();
+        self.lu.is_some()
     }
 
     /// Applies a pivot: column `q` enters at basis row `r` with value
@@ -677,7 +848,7 @@ impl Ctx {
             // updated basis went numerically singular; recompute from the
             // column data and keep going — primal/dual loops detect a
             // truly broken factorization via their own safeguards.
-            let _ = self.refactor();
+            let _ = self.refactor(RefactorCause::EtaCap);
             self.compute_xb();
         }
     }
@@ -767,7 +938,7 @@ impl Ctx {
             self.pos[slot] = i as i32;
             self.vstat[slot] = VStat::Basic;
         }
-        if !self.refactor() {
+        if !self.refactor(RefactorCause::ColdStart) {
             return LpOutcome::Error; // all-unit basis: cannot happen
         }
 
@@ -988,7 +1159,7 @@ impl Ctx {
             for (r, &b) in self.basis.iter().enumerate() {
                 self.pos[b as usize] = r as i32;
             }
-            if !self.refactor() {
+            if !self.refactor(RefactorCause::WarmInstall) {
                 return self.solve_cold();
             }
         }
@@ -1063,7 +1234,8 @@ impl Ctx {
             self.stats.dual_pivots += 1;
 
             // ρ = r-th row of B⁻¹; y for reduced costs.
-            let mut rho = vec![0.0; m];
+            let mut rho = std::mem::take(&mut self.rho);
+            rho.fill(0.0);
             rho[r] = 1.0;
             self.full_btran(&mut rho);
             self.compute_y(cost);
@@ -1096,6 +1268,7 @@ impl Ctx {
                     enter = Some((j, ratio));
                 }
             }
+            self.rho = rho;
             let Some((q, _)) = enter else {
                 // No column can absorb the violation: LP is infeasible.
                 return DualOutcome::Infeasible;
@@ -1108,7 +1281,7 @@ impl Ctx {
                 if self.etas.is_empty() {
                     return DualOutcome::GiveUp;
                 }
-                if !self.refactor() {
+                if !self.refactor(RefactorCause::DualTinyPivot) {
                     return DualOutcome::GiveUp;
                 }
                 self.compute_xb();

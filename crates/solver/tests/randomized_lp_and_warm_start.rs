@@ -5,7 +5,7 @@
 //! observability layer reports (`solver_solves_total{start=...}`,
 //! `solver_warm_start_hit_rate`).
 
-use flexwan_solver::{LinExpr, Model, Sense, SolveOptions, SolverStats, Status};
+use flexwan_solver::{LinExpr, Model, RefactorCause, Sense, SolveOptions, SolverStats, Status};
 
 fn build(k: usize, seed: u64) -> Model {
     let mut m = Model::new();
@@ -155,4 +155,41 @@ fn solver_stats_are_deterministic_and_merge_adds() {
     assert_eq!(merged.nodes, a.nodes + b.nodes);
     assert_eq!(merged.total_pivots(), a.total_pivots() + b.total_pivots());
     assert_eq!(merged.warm_solves, a.warm_solves + b.warm_solves);
+}
+
+/// Every refactorization is counted under exactly one cause: a branch &
+/// bound solve factors its cold root and installs parent bases in its
+/// children, and an LP long enough to fill the eta file refactors at
+/// the cap.
+#[test]
+fn refactorizations_split_by_cause() {
+    let cause = |stats: &SolverStats, c: RefactorCause| stats.refactor_causes[c as usize];
+    let (_, bb) = branching_knapsack().solve_with_stats(&SolveOptions::default());
+    assert_eq!(bb.refactor_causes.iter().sum::<u64>(), bb.refactorizations);
+    assert!(cause(&bb, RefactorCause::ColdStart) > 0);
+    assert!(cause(&bb, RefactorCause::WarmInstall) > 0);
+
+    let mut chain = Model::new();
+    let vars: Vec<_> = (0..200)
+        .map(|i| chain.continuous(format!("x{i}"), 0.0, 2.0))
+        .collect();
+    for w in vars.windows(2) {
+        chain.le(w[0] + w[1], 3.0);
+    }
+    let obj = LinExpr::sum(
+        vars.iter()
+            .enumerate()
+            .map(|(i, &v)| (1.0 + ((i * 7) % 5) as f64) * v),
+    );
+    chain.set_objective(Sense::Maximize, obj);
+    let (sol, lp) = chain.solve_with_stats(&SolveOptions::default());
+    assert_eq!(sol.status, Status::Optimal);
+    assert_eq!(lp.refactor_causes.iter().sum::<u64>(), lp.refactorizations);
+    assert!(cause(&lp, RefactorCause::EtaCap) > 0, "{lp}");
+
+    let mut merged = bb;
+    merged.merge(&lp);
+    for c in RefactorCause::ALL {
+        assert_eq!(cause(&merged, c), cause(&bb, c) + cause(&lp, c));
+    }
 }
