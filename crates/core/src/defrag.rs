@@ -61,11 +61,33 @@ pub fn make_room(
         return None;
     }
 
+    // The wavelengths riding each parallel of each hop, ascending. Retunes
+    // move channels, never paths, so the lists hold for every window.
+    let riders: Vec<Vec<Vec<usize>>> = route
+        .hops
+        .iter()
+        .map(|hop| {
+            hop.iter()
+                .map(|&e| {
+                    (0..wavelengths.len())
+                        .filter(|&i| wavelengths[i].path.uses_edge(e))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
     let mut start = 0u32;
     while start + need <= pixels {
         let window = PixelRange::new(start, width);
-        if let Some(outcome) = try_window(spectrum, wavelengths, route, &window, max_moves, optical)
-        {
+        if let Some(outcome) = try_window(
+            spectrum,
+            wavelengths,
+            route,
+            &riders,
+            &window,
+            max_moves,
+            optical,
+        ) {
             return Some(outcome);
         }
         start += align;
@@ -80,6 +102,7 @@ fn try_window(
     spectrum: &mut SpectrumState,
     wavelengths: &mut [Wavelength],
     route: &Route,
+    riders: &[Vec<Vec<usize>>],
     window: &PixelRange,
     max_moves: usize,
     optical: &Graph,
@@ -87,15 +110,15 @@ fn try_window(
     // Choose fibers and collect blockers.
     let mut chosen: Vec<EdgeId> = Vec::with_capacity(route.hops.len());
     let mut blockers: Vec<usize> = Vec::new();
-    for hop in &route.hops {
+    for (hop, hop_riders) in route.hops.iter().zip(riders) {
         let best = hop
             .iter()
-            .map(|&e| {
-                let b: Vec<usize> = wavelengths
+            .zip(hop_riders)
+            .map(|(&e, on_e)| {
+                let b: Vec<usize> = on_e
                     .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.path.uses_edge(e) && w.channel.overlaps(window))
-                    .map(|(i, _)| i)
+                    .copied()
+                    .filter(|&i| wavelengths[i].channel.overlaps(window))
                     .collect();
                 (e, b)
             })
@@ -161,10 +184,7 @@ fn try_window(
             let w = &wavelengths[bi];
             (w.path.clone(), w.channel, w.channel.width)
         };
-        let masks: Vec<&flexwan_optical::spectrum::SpectrumMask> =
-            path.edges.iter().map(|e| spectrum.mask(*e)).collect();
-        let target = flexwan_optical::spectrum::SpectrumMask::first_fit_joint(&masks, w_width);
-        let Some(to) = target else {
+        let Some(to) = spectrum.find(&path, w_width, 1) else {
             rollback(spectrum, wavelengths, &steps, &guards);
             return None;
         };

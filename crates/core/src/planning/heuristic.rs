@@ -14,6 +14,7 @@
 //! supportable capacity (Figure 12).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use flexwan_optical::spectrum::SpectrumGrid;
 use flexwan_topo::cache::RouteCache;
@@ -91,7 +92,7 @@ pub struct Plan {
     pub spectrum: SpectrumState,
     /// The candidate routes computed per link (indexed by `IpLinkId.0`),
     /// kept for restoration and reporting.
-    pub candidate_routes: Vec<Vec<Route>>,
+    pub candidate_routes: Vec<Arc<Vec<Route>>>,
 }
 
 impl Plan {
@@ -142,10 +143,19 @@ pub fn plan(scheme: Scheme, optical: &Graph, ip: &IpTopology, cfg: &PlannerConfi
     // one shared Dijkstra scratch arena.
     let none = HashSet::new();
     let mut scratch = DijkstraScratch::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
+    let candidate_routes: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| k_shortest_routes_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
+        .map(|l| {
+            Arc::new(k_shortest_routes_scratch(
+                optical,
+                l.src,
+                l.dst,
+                cfg.k_paths,
+                &none,
+                &mut scratch,
+            ))
+        })
         .collect();
     plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
 }
@@ -162,10 +172,10 @@ pub fn plan_cached(
     cache: &RouteCache,
 ) -> Plan {
     let none = HashSet::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
+    let candidate_routes: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, &none)).clone())
+        .map(|l| cache.routes(optical, l.src, l.dst, cfg.k_paths, &none))
         .collect();
     plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
 }
@@ -184,10 +194,10 @@ pub fn plan_cached_banned(
     cache: &RouteCache,
     banned: &HashSet<flexwan_topo::graph::EdgeId>,
 ) -> Plan {
-    let candidate_routes: Vec<Vec<Route>> = ip
+    let candidate_routes: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, banned)).clone())
+        .map(|l| cache.routes(optical, l.src, l.dst, cfg.k_paths, banned))
         .collect();
     plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
 }
@@ -199,7 +209,7 @@ fn plan_with_routes(
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    candidate_routes: Vec<Vec<Route>>,
+    candidate_routes: Vec<Arc<Vec<Route>>>,
 ) -> Plan {
     assert!(cfg.k_paths >= 1, "need at least one candidate path");
     assert!(cfg.min_alignment >= 1, "alignment is at least one pixel");

@@ -14,6 +14,8 @@
 //! experiment quantifies the cost of never moving anything, against
 //! clairvoyant from-scratch re-planning.
 
+use std::sync::Arc;
+
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
@@ -40,10 +42,19 @@ pub fn plan_incremental(
 ) -> Plan {
     let none = std::collections::HashSet::new();
     let mut scratch = DijkstraScratch::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
+    let candidate_routes: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| k_shortest_routes_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
+        .map(|l| {
+            Arc::new(k_shortest_routes_scratch(
+                optical,
+                l.src,
+                l.dst,
+                cfg.k_paths,
+                &none,
+                &mut scratch,
+            ))
+        })
         .collect();
     plan_incremental_with_routes(base, optical, ip, cfg, candidate_routes)
 }
@@ -59,10 +70,10 @@ pub fn plan_incremental_cached(
     cache: &RouteCache,
 ) -> Plan {
     let none = std::collections::HashSet::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
+    let candidate_routes: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, &none)).clone())
+        .map(|l| cache.routes(optical, l.src, l.dst, cfg.k_paths, &none))
         .collect();
     plan_incremental_with_routes(base, optical, ip, cfg, candidate_routes)
 }
@@ -72,7 +83,7 @@ fn plan_incremental_with_routes(
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    candidate_routes: Vec<Vec<Route>>,
+    candidate_routes: Vec<Arc<Vec<Route>>>,
 ) -> Plan {
     let scheme: Scheme = base.scheme;
     let model = scheme.transponder();

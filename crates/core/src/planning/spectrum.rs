@@ -42,14 +42,17 @@ impl SpectrumState {
     }
 
     /// Finds the lowest `align`-aligned channel of `width` jointly free on
-    /// every fiber of `path`, without allocating it.
+    /// every fiber of `path`, without allocating it; `None` for a path
+    /// without fibers.
     pub fn find(&self, path: &Path, width: PixelWidth, align: u32) -> Option<PixelRange> {
-        let masks: Vec<&SpectrumMask> = path
-            .edges
-            .iter()
-            .map(|e| &self.masks[e.0 as usize])
-            .collect();
-        SpectrumMask::first_fit_joint_aligned(&masks, width, align)
+        path.edges.first()?;
+        SpectrumMask::first_fit_hops(
+            self.grid.pixels(),
+            &path.edges,
+            |e| std::iter::once(self.mask(*e)),
+            width,
+            align,
+        )
     }
 
     /// Finds and occupies a channel along `path`; `None` (state unchanged)
@@ -107,34 +110,23 @@ impl SpectrumState {
         width: PixelWidth,
         align: u32,
     ) -> Option<(PixelRange, Vec<EdgeId>)> {
-        assert!(align >= 1);
-        let pixels = self.grid.pixels();
-        let need = u32::from(width.pixels());
-        if need > pixels {
-            return None;
-        }
-        let mut start = 0u32;
-        while start + need <= pixels {
-            let range = PixelRange::new(start, width);
-            let mut chosen = Vec::with_capacity(route.hops.len());
-            let ok = route.hops.iter().all(|hop| {
-                match hop
-                    .iter()
-                    .find(|e| self.masks[e.0 as usize].is_free(&range))
-                {
-                    Some(e) => {
-                        chosen.push(*e);
-                        true
-                    }
-                    None => false,
-                }
-            });
-            if ok {
-                return Some((range, chosen));
-            }
-            start += align;
-        }
-        None
+        let range = SpectrumMask::first_fit_hops(
+            self.grid.pixels(),
+            &route.hops,
+            |hop| hop.iter().map(|e| self.mask(*e)),
+            width,
+            align,
+        )?;
+        let chosen = route
+            .hops
+            .iter()
+            .map(|hop| {
+                *hop.iter()
+                    .find(|e| self.mask(**e).is_free(&range))
+                    .expect("the start map has a free parallel on every hop")
+            })
+            .collect();
+        Some((range, chosen))
     }
 
     /// [`SpectrumState::find_route`] + allocation on the chosen fibers.
@@ -295,6 +287,137 @@ mod tests {
         let (range, chosen) = s.find_route(&routes[0], w(8), 1).unwrap();
         assert_eq!(range.start, 0);
         assert_eq!(chosen, vec![EdgeId(1), EdgeId(2)]);
+    }
+
+    /// The per-pixel scans the word-parallel search replaced, kept as the
+    /// reference it must match bit for bit.
+    mod oracle {
+        use super::*;
+        use flexwan_topo::route::Route;
+
+        pub fn is_free(m: &SpectrumMask, range: &PixelRange) -> bool {
+            range.end() <= m.pixels() && range.pixels().all(|p| !m.is_occupied(p))
+        }
+
+        pub fn first_fit_joint_aligned(
+            masks: &[&SpectrumMask],
+            width: PixelWidth,
+            align: u32,
+        ) -> Option<PixelRange> {
+            let pixels = masks.first()?.pixels();
+            let need = u32::from(width.pixels());
+            if need > pixels {
+                return None;
+            }
+            let mut start = 0u32;
+            while start + need <= pixels {
+                match (start..start + need).find(|&p| masks.iter().any(|m| m.is_occupied(p))) {
+                    Some(p) => start = (p + 1).div_ceil(align) * align,
+                    None => return Some(PixelRange::new(start, width)),
+                }
+            }
+            None
+        }
+
+        pub fn find_route(
+            s: &SpectrumState,
+            route: &Route,
+            width: PixelWidth,
+            align: u32,
+        ) -> Option<(PixelRange, Vec<EdgeId>)> {
+            let need = u32::from(width.pixels());
+            let mut start = 0u32;
+            while start + need <= s.grid.pixels() {
+                let range = PixelRange::new(start, width);
+                let chosen: Option<Vec<EdgeId>> = route
+                    .hops
+                    .iter()
+                    .map(|hop| hop.iter().copied().find(|e| is_free(s.mask(*e), &range)))
+                    .collect();
+                if let Some(chosen) = chosen {
+                    return Some((range, chosen));
+                }
+                start += align;
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn word_parallel_search_matches_per_pixel_scan() {
+        use flexwan_topo::route::Route;
+        use flexwan_util::rng::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_0f17);
+        for case in 0..2400 {
+            let pixels = [32u32, 96, 100, 130, 384][rng.gen_range(0..5usize)];
+            let need = match rng.gen_range(0..10u32) {
+                0 => rng.gen_range(65..=pixels.max(65)),
+                1 => pixels,
+                _ => rng.gen_range(1..=24u32),
+            };
+            let width = w(need as u16);
+            let align = [1u32, 2, 3, 4, 6, 8][rng.gen_range(0..6usize)];
+            let hops: Vec<Vec<EdgeId>> = {
+                let mut next = 0u32;
+                (0..rng.gen_range(0..=5usize))
+                    .map(|_| {
+                        (0..rng.gen_range(1..=3u32))
+                            .map(|_| {
+                                next += 1;
+                                EdgeId(next - 1)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            let fibers = hops.iter().map(Vec::len).sum::<usize>();
+
+            // Occupancy 0–100 %, drawn per pixel or per block of up to
+            // 12 pixels so both scattered and run-shaped gaps appear.
+            let density = f64::from(rng.gen_range(0..=100u32)) / 100.0;
+            let block = if rng.gen_bool(0.5) {
+                1
+            } else {
+                rng.gen_range(2..=12u32)
+            };
+            let mut s = SpectrumState::new(SpectrumGrid::new(pixels), fibers);
+            for mask in &mut s.masks {
+                let mut p = 0;
+                while p < pixels {
+                    let len = block.min(pixels - p);
+                    if rng.gen_bool(density) {
+                        mask.occupy(&PixelRange::new(p, w(len as u16))).unwrap();
+                    }
+                    p += len;
+                }
+            }
+
+            let route = Route {
+                nodes: Vec::new(),
+                hops,
+                length_km: 0,
+            };
+            assert_eq!(
+                s.find_route(&route, width, align),
+                oracle::find_route(&s, &route, width, align),
+                "case {case}: find_route, {pixels} px, width {need}, align {align}"
+            );
+            let firsts: Vec<&SpectrumMask> = route.hops.iter().map(|h| s.mask(h[0])).collect();
+            assert_eq!(
+                SpectrumMask::first_fit_joint_aligned(&firsts, width, align),
+                oracle::first_fit_joint_aligned(&firsts, width, align),
+                "case {case}: first_fit_joint_aligned, {pixels} px, width {need}, align {align}"
+            );
+            for mask in &s.masks {
+                let range = PixelRange::new(rng.gen_range(0..pixels), width);
+                assert_eq!(
+                    mask.is_free(&range),
+                    oracle::is_free(mask, &range),
+                    "case {case}: is_free {range}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! and spectrum cost; restoration recovers more cheaply but is bounded by
 //! residual spectrum when the network runs hot.
 
+use std::sync::Arc;
+
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::{Graph, NodeId};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
@@ -135,18 +137,18 @@ pub fn plan_protected(
 ) -> ProtectedPlan {
     let none = std::collections::HashSet::new();
     let mut scratch = DijkstraScratch::new();
-    let routes_per_link: Vec<Vec<Route>> = ip
+    let routes_per_link: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
         .map(|l| {
-            k_shortest_routes_scratch(
+            Arc::new(k_shortest_routes_scratch(
                 optical,
                 l.src,
                 l.dst,
                 cfg.k_paths.max(4),
                 &none,
                 &mut scratch,
-            )
+            ))
         })
         .collect();
     plan_protected_with_routes(scheme, optical, ip, cfg, routes_per_link)
@@ -163,10 +165,10 @@ pub fn plan_protected_cached(
     cache: &RouteCache,
 ) -> ProtectedPlan {
     let none = std::collections::HashSet::new();
-    let routes_per_link: Vec<Vec<Route>> = ip
+    let routes_per_link: Vec<Arc<Vec<Route>>> = ip
         .links()
         .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths.max(4), &none)).clone())
+        .map(|l| cache.routes(optical, l.src, l.dst, cfg.k_paths.max(4), &none))
         .collect();
     plan_protected_with_routes(scheme, optical, ip, cfg, routes_per_link)
 }
@@ -176,7 +178,7 @@ fn plan_protected_with_routes(
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    routes_per_link: Vec<Vec<Route>>,
+    routes_per_link: Vec<Arc<Vec<Route>>>,
 ) -> ProtectedPlan {
     let model = scheme.transponder();
     let align = scheme.alignment_pixels().max(cfg.min_alignment);

@@ -215,9 +215,21 @@ impl SpectrumMask {
         self.words[(pixel / 64) as usize] & (1u64 << (pixel % 64)) != 0
     }
 
+    /// The words `range` covers, each paired with the bits of its pixels
+    /// in that word.
+    fn word_masks(range: &PixelRange) -> impl Iterator<Item = (usize, u64)> {
+        let (start, end) = (range.start, range.end());
+        (start / 64..=(end - 1) / 64).map(move |w| {
+            let lo = start.max(w * 64) - w * 64;
+            let hi = end.min(w * 64 + 64) - w * 64;
+            (w as usize, (u64::MAX >> (64 - (hi - lo))) << lo)
+        })
+    }
+
     /// Whether every pixel in `range` is free.
     pub fn is_free(&self, range: &PixelRange) -> bool {
-        range.end() <= self.pixels && range.pixels().all(|p| !self.is_occupied(p))
+        range.end() <= self.pixels
+            && Self::word_masks(range).all(|(w, bits)| self.words[w] & bits == 0)
     }
 
     /// Marks every pixel in `range` occupied; fails if any is already
@@ -227,8 +239,8 @@ impl SpectrumMask {
         if !self.is_free(range) {
             return Err(OpticalError::SpectrumConflict { range: *range });
         }
-        for p in range.pixels() {
-            self.words[(p / 64) as usize] |= 1u64 << (p % 64);
+        for (w, bits) in Self::word_masks(range) {
+            self.words[w] |= bits;
         }
         Ok(())
     }
@@ -237,13 +249,52 @@ impl SpectrumMask {
     /// release indicates a bookkeeping bug) or out of band.
     pub fn release(&mut self, range: &PixelRange) -> Result<(), OpticalError> {
         self.check_range(range)?;
-        if range.pixels().any(|p| !self.is_occupied(p)) {
+        if Self::word_masks(range).any(|(w, bits)| self.words[w] & bits != bits) {
             return Err(OpticalError::DoubleRelease { range: *range });
         }
-        for p in range.pixels() {
-            self.words[(p / 64) as usize] &= !(1u64 << (p % 64));
+        for (w, bits) in Self::word_masks(range) {
+            self.words[w] &= !bits;
         }
         Ok(())
+    }
+
+    /// Word `w` of the free map: bit `j` is set when pixel `64w + j` is
+    /// free. Pixels past the band, including the tail of the last word,
+    /// read as occupied, so no window can run off the band.
+    fn free_word(&self, w: usize) -> u64 {
+        let Some(&occupied) = self.words.get(w) else {
+            return 0;
+        };
+        let in_band = self.pixels as usize - 64 * w;
+        let tail = if in_band < 64 {
+            (1u64 << in_band) - 1
+        } else {
+            u64::MAX
+        };
+        !occupied & tail
+    }
+
+    /// The first-fit kernel: word `w` of the start map for windows of
+    /// `need` pixels, restricted to the candidate starts in `within`.
+    ///
+    /// Bit `j` of the result is set when bit `j` of `within` is and the
+    /// window `[64w + j, 64w + j + need)` is free and inside the band. The
+    /// window is the AND of the free map shifted by `0..need` pixels, each
+    /// shift spanning two words; the loop stops as soon as no candidate is
+    /// left, so a crowded fiber costs a word or two per call.
+    fn free_starts(&self, w: usize, need: u32, within: u64) -> u64 {
+        let mut starts = within & self.free_word(w);
+        let mut k = 1;
+        while starts != 0 && k < need {
+            let (q, r) = (w + (k / 64) as usize, k % 64);
+            let mut shifted = self.free_word(q) >> r;
+            if r != 0 {
+                shifted |= self.free_word(q + 1) << (64 - r);
+            }
+            starts &= shifted;
+            k += 1;
+        }
+        starts
     }
 
     /// Count of occupied pixels.
@@ -287,23 +338,56 @@ impl SpectrumMask {
         width: PixelWidth,
         align: u32,
     ) -> Option<PixelRange> {
-        assert!(align >= 1, "alignment must be at least one pixel");
         let pixels = masks.first()?.pixels;
-        debug_assert!(
-            masks.iter().all(|m| m.pixels == pixels),
-            "masks must share a grid"
-        );
+        Self::first_fit_hops(pixels, masks, |m| std::iter::once(*m), width, align)
+    }
+
+    /// The first-fit search every channel assignment runs: the lowest
+    /// `align`-aligned channel of `width` pixels that, on every hop, is
+    /// free on at least one of the hop's parallel masks (`parallels(hop)`).
+    /// With no hops the lowest aligned start fits. All masks must span
+    /// `pixels` pixels.
+    ///
+    /// The start map is built one 64-pixel word at a time, lowest word
+    /// first: the aligned starts of the word, ANDed per hop with the OR of
+    /// the parallels' free-start words (the kernel). A parallel only
+    /// tests the starts no earlier parallel of its hop already covers, a
+    /// hop stops the word once no start is left, and the first word with a
+    /// start left ends the search at its lowest bit. That start is the one
+    /// a pixel-by-pixel scan of every aligned start would return.
+    pub fn first_fit_hops<'h, 'm, H, P>(
+        pixels: u32,
+        hops: &'h [H],
+        parallels: impl Fn(&'h H) -> P,
+        width: PixelWidth,
+        align: u32,
+    ) -> Option<PixelRange>
+    where
+        P: IntoIterator<Item = &'m SpectrumMask>,
+    {
+        assert!(align >= 1, "alignment must be at least one pixel");
         let need = u32::from(width.pixels());
         if need > pixels {
             return None;
         }
-        let mut start = 0u32;
-        while start + need <= pixels {
-            // Scan the candidate window; on collision jump past it (to the
-            // next aligned start after the colliding pixel).
-            match (start..start + need).find(|&p| masks.iter().any(|m| m.is_occupied(p))) {
-                Some(p) => start = (p + 1).div_ceil(align) * align,
-                None => return Some(PixelRange::new(start, width)),
+        for w in 0..pixels.div_ceil(64) as usize {
+            let mut starts = aligned_starts(w, align);
+            for hop in hops {
+                let mut fits = 0u64;
+                for mask in parallels(hop) {
+                    debug_assert_eq!(mask.pixels, pixels, "masks must share a grid");
+                    fits |= mask.free_starts(w, need, starts & !fits);
+                }
+                starts = fits;
+                if starts == 0 {
+                    break;
+                }
+            }
+            if starts != 0 {
+                return Some(PixelRange::new(
+                    64 * w as u32 + starts.trailing_zeros(),
+                    width,
+                ));
             }
         }
         None
@@ -338,6 +422,24 @@ impl SpectrumMask {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Word `w` of the aligned-start mask: bit `j` is set when pixel
+/// `64w + j` is a multiple of `align`. Built by doubling the first aligned
+/// bit of the word across it, never pixel by pixel.
+fn aligned_starts(w: usize, align: u32) -> u64 {
+    let align = u64::from(align);
+    let first = (align - (64 * w as u64) % align) % align;
+    if first >= 64 {
+        return 0;
+    }
+    let mut bits = 1u64 << first;
+    let mut step = align;
+    while step < 64 {
+        bits |= bits << step;
+        step *= 2;
+    }
+    bits
 }
 
 // ---- JSON wire encoding (same shapes the former serde derives produced) ----
